@@ -3,22 +3,29 @@
 These measure the cost of the building blocks a user calls interactively
 (tiling selection, exact traffic evaluation, one accelerator layer run, the
 functional simulator) so regressions in model complexity are visible -- plus
-the headline perf gate of the vectorized search backend: the vgg16 fig13
+the headline perf gates of the vectorized search backends: the vgg16 fig13
 memory sweep must run at least 10x faster through the NumPy candidate grids
-than through the scalar reference loop, with bit-identical series.
+than through the scalar reference loop, and the accelerator and Eyeriss tile
+searches at least 8x faster array-evaluated than scalar, all with
+bit-identical results.
 """
 
 import math
 import time
+from unittest import mock
 
 from repro.analysis.sweep import memory_sweep
+from repro.arch import accelerator
 from repro.arch.accelerator import AcceleratorModel
-from repro.arch.config import paper_implementation
+from repro.arch.config import PAPER_IMPLEMENTATIONS, paper_implementation
 from repro.arch.functional import FunctionalSimulator
 from repro.core.optimal_dataflow import choose_tiling, dataflow_traffic
 from repro.core.tiling import Tiling
+from repro.dataflows import grid
 from repro.engine import SearchEngine
+from repro.eyeriss.model import EyerissModel
 from repro.workloads.generator import small_test_layers
+from repro.workloads.registry import get_workload
 from repro.workloads.vgg import vgg16_conv_layers
 
 import numpy as np
@@ -92,6 +99,65 @@ def test_speed_fig13_sweep_vectorized_vs_scalar():
         f"vectorized sweep only {speedup:.1f}x faster than scalar "
         f"({vectorized_seconds:.2f}s vs {scalar_seconds:.2f}s)"
     )
+
+
+def _timed(function, scalar: bool):
+    """``(seconds, result)`` of ``function()`` on one backend, cold tiling memo.
+
+    ``scalar`` hides numpy from the two models, which is exactly the branch a
+    no-numpy install takes.
+    """
+    with mock.patch.dict(accelerator._TILING_CACHE, clear=True), mock.patch.object(
+        grid, "numpy_available", return_value=not scalar
+    ):
+        start = time.perf_counter()
+        result = function()
+        return time.perf_counter() - start, result
+
+
+def test_speed_tile_searches_vectorized_vs_scalar():
+    """Perf gate: the array-evaluated accelerator and Eyeriss tile searches.
+
+    On the ``reproduce-all`` networks (vgg16, resnet18, alexnet), every
+    Table I implementation's tiling is chosen from a cold memo and every
+    layer's Eyeriss RS tile is searched, once per backend.  Each array path
+    must be >= 8x faster than its scalar loop (measured ~19x and ~17x on a
+    2-vCPU box) and give exactly the same tilings and layer results.
+    """
+    layers = [
+        layer for name in ("vgg16", "resnet18", "alexnet") for layer in get_workload(name)
+    ]
+
+    def arch_tilings():
+        return [
+            AcceleratorModel(config).choose_layer_tiling(layer)
+            for config in PAPER_IMPLEMENTATIONS
+            for layer in layers
+        ]
+
+    def eyeriss_results():
+        model = EyerissModel()
+        return [model.run_layer(layer) for layer in layers]
+
+    rows = []
+    for label, function in (("arch tiling", arch_tilings), ("eyeriss", eyeriss_results)):
+        scalar_seconds, scalar = _timed(function, scalar=True)
+        vectorized_seconds, vectorized = _timed(function, scalar=False)
+        assert vectorized == scalar, f"{label} results moved under the array path"
+        rows.append((label, scalar_seconds, vectorized_seconds))
+
+    print(f"\ntile searches, {len(layers)} layers (vgg16 + resnet18 + alexnet):")
+    for label, scalar_seconds, vectorized_seconds in rows:
+        print(
+            f"  {label:12s} scalar {scalar_seconds:7.2f} s  array {vectorized_seconds:6.2f} s  "
+            f"speedup {scalar_seconds / vectorized_seconds:5.1f}x"
+        )
+    for label, scalar_seconds, vectorized_seconds in rows:
+        speedup = scalar_seconds / vectorized_seconds
+        assert speedup >= 8.0, (
+            f"{label}: array path only {speedup:.1f}x faster than scalar "
+            f"({vectorized_seconds:.2f}s vs {scalar_seconds:.2f}s)"
+        )
 
 
 def test_speed_functional_simulator(benchmark):

@@ -56,7 +56,7 @@ from repro.workloads.registry import (
     workload_names,
 )
 
-__version__ = "1.8.0"
+__version__ = "1.9.0"
 
 __all__ = [
     "ConvLayer",

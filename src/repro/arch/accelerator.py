@@ -15,11 +15,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.arch.config import AcceleratorConfig
-from repro.arch.mapping import BlockShape, IterationCost, PEMapping, iteration_cost, map_block
+from repro.arch.mapping import BlockShape, factor_triples, iteration_cost, map_block
 from repro.core.layer import ConvLayer, ceil_div
-from repro.core.optimal_dataflow import choose_tiling, dataflow_traffic
+from repro.core.optimal_dataflow import (
+    choose_tiling,
+    choose_tiling_grid,
+    dataflow_traffic,
+    exact_traffic_arrays,
+)
 from repro.core.tiling import Tiling
 from repro.core.traffic import BYTES_PER_WORD, TrafficBreakdown
+from repro.engine.cache import layer_signature
 
 
 @dataclass(frozen=True)
@@ -139,20 +145,32 @@ class AcceleratorModel:
         spatial tile divisible by the row grid) so edge waste stays small,
         exactly as the paper's implementations do; among the candidates the
         one with the least DRAM traffic wins, ties broken by PE waste.
-        """
-        cache_key = (self.config, layer)
-        cached = _TILING_CACHE.get(cache_key)
-        if cached is not None:
-            return cached
 
-        candidates = []
-        for tiling in self._candidate_tilings(layer):
-            tiling = tiling.clip(layer)
-            if not self._fits(layer, tiling):
-                continue
-            traffic = dataflow_traffic(layer, tiling).total
-            candidates.append((traffic, tiling))
-        if not candidates:
+        The search is memoized by (configuration, layer shape): the layer's
+        name only reaches the error message.
+        """
+        cache_key = (self.config, layer_signature(layer))
+        cached = _TILING_CACHE.get(cache_key)
+        if cached is None:
+            from repro.dataflows.grid import numpy_available
+
+            cached = self._search_tiling(layer, vectorized=numpy_available())
+            _TILING_CACHE[cache_key] = cached
+        return cached
+
+    def _search_tiling(self, layer: ConvLayer, vectorized: bool) -> Tiling:
+        """Uncached tiling search; both backends choose the same tiling.
+
+        ``vectorized`` evaluates the capacity checks and Eq. (14) traffic of
+        every candidate as arrays; the scalar branch is the no-numpy
+        fallback and the test oracle.
+        """
+        candidates = list(self._candidate_tilings(layer, vectorized))
+        if vectorized:
+            near_optimal = self._near_optimal_grid(layer, candidates)
+        else:
+            near_optimal = self._near_optimal_scalar(layer, candidates)
+        if not near_optimal:
             raise ValueError(
                 f"{self.config.name}: no tiling of layer {layer.name!r} fits the "
                 "on-chip memories"
@@ -160,28 +178,76 @@ class AcceleratorModel:
         # Two-pass selection: among the tilings within 2% of the minimum DRAM
         # traffic, keep the one that wastes the least PE work and LReg space
         # (the implementations trade a hair of traffic for full PE rows).
-        min_traffic = min(traffic for traffic, _ in candidates)
-        near_optimal = [
-            (traffic, tiling)
-            for traffic, tiling in candidates
-            if traffic <= 1.02 * min_traffic
-        ]
-        best = min(
+        # ``min`` keeps the first of equal keys, in candidate order.
+        return min(
             near_optimal,
             key=lambda item: (self._waste(layer, item[1]), item[0]),
         )[1]
-        _TILING_CACHE[cache_key] = best
-        return best
 
-    def _candidate_tilings(self, layer: ConvLayer):
+    def _near_optimal_scalar(self, layer: ConvLayer, candidates: list) -> list:
+        """``(traffic, tiling)`` of the fitting candidates within 2% of the best."""
+        fitting = [
+            (dataflow_traffic(layer, tiling).total, tiling)
+            for tiling in candidates
+            if self._fits(layer, tiling)
+        ]
+        if not fitting:
+            return []
+        min_traffic = min(traffic for traffic, _ in fitting)
+        return [
+            (traffic, tiling) for traffic, tiling in fitting if traffic <= 1.02 * min_traffic
+        ]
+
+    def _near_optimal_grid(self, layer: ConvLayer, candidates: list) -> list:
+        """Array form of :meth:`_near_optimal_scalar`, same list in the same order.
+
+        :meth:`_fits` term for term: the psum, IGBuf and WGBuf caps, then the
+        LReg check.  ``map_block`` ranks fitting partitions first, so its
+        mapping fits exactly when *some* partition grid of the PE rows keeps
+        ``bs*ys*xs*zs`` Psums per PE within the LRegs.
+        """
+        from repro.dataflows.grid import ceil_div as grid_ceil_div, require_numpy
+
+        np = require_numpy()
+        config = self.config
+        b, z, y, x = (
+            np.array([getattr(tiling, axis) for tiling in candidates], dtype=np.int64)
+            for axis in "bzyx"
+        )
+        rows = (y - 1) * layer.stride + layer.kernel_height
+        cols = (x - 1) * layer.stride + layer.kernel_width
+        mask = b * x * y * z <= config.psum_words
+        mask &= b * rows * cols <= config.igbuf_words
+        mask &= z <= config.wgbuf_words
+        channels_per_pe = grid_ceil_div(z, config.pe_cols)
+        lreg_fits = np.zeros_like(mask)
+        for grid_batch, grid_rows, grid_cols in factor_triples(config.pe_rows):
+            psums = (
+                grid_ceil_div(b, np.minimum(grid_batch, b))
+                * grid_ceil_div(y, np.minimum(grid_rows, y))
+                * grid_ceil_div(x, np.minimum(grid_cols, x))
+                * channels_per_pe
+            )
+            lreg_fits |= psums <= config.lreg_words_per_pe
+        mask &= lreg_fits
+        if not mask.any():
+            return []
+        _, _, totals = exact_traffic_arrays(layer, b, z, y, x)
+        min_traffic = totals[mask].min()
+        near = np.flatnonzero(mask & (totals <= 1.02 * min_traffic))
+        return [(float(totals[index]), candidates[index]) for index in near]
+
+    def _candidate_tilings(self, layer: ConvLayer, vectorized: bool):
         """Candidate tilings: the free-split optimum plus PE-aligned variants.
 
         The PE-aligned candidates are built bottom-up from per-PE tile shapes
         ``(zs, ys, xs)`` and an array partition grid, so interior blocks incur
-        no padding waste and each PE's Psums provably fit its LRegs.
+        no padding waste and each PE's Psums provably fit its LRegs.  Every
+        candidate is clipped to the layer and emitted once, in a fixed order.
         """
         config = self.config
-        free_choice = choose_tiling(
+        free_split = choose_tiling_grid if vectorized else choose_tiling
+        free_choice = free_split(
             layer,
             config.effective_on_chip_words,
             psum_words=config.psum_words,
@@ -405,8 +471,9 @@ class AcceleratorModel:
         }
 
 
-#: Cache of chosen tilings keyed by (configuration, layer); both are frozen
-#: dataclasses, so the cache is shared across AcceleratorModel instances.
+#: Cache of chosen tilings keyed by (configuration, layer signature), so
+#: same-shape layers share one search and AcceleratorModel instances share
+#: the cache.
 _TILING_CACHE: dict = {}
 
 

@@ -78,7 +78,7 @@ class PEMapping:
         return self.psums_per_pe
 
 
-def _factor_triples(value: int):
+def factor_triples(value: int):
     """All ordered triples ``(a, b, c)`` with ``a*b*c == value``."""
     for a in range(1, value + 1):
         if value % a:
@@ -103,7 +103,7 @@ def map_block(layer: ConvLayer, block: BlockShape, config: AcceleratorConfig) ->
     used_pe_cols = min(config.pe_cols, block.z)
 
     best = None
-    for grid_batch, grid_rows, grid_cols in _factor_triples(config.pe_rows):
+    for grid_batch, grid_rows, grid_cols in factor_triples(config.pe_rows):
         grid_batch_eff = min(grid_batch, block.b)
         grid_rows_eff = min(grid_rows, block.y)
         grid_cols_eff = min(grid_cols, block.x)

@@ -153,20 +153,69 @@ class EyerissModel:
 
     def run_layer(self, layer: ConvLayer) -> EyerissLayerResult:
         """Best-tile RS traffic for one layer (uncompressed)."""
-        best = None
-        for tile in self._tile_space(layer):
-            dram = self._traffic(layer, tile)
-            if best is None or dram.total < best[0]:
-                best = (dram.total, tile, dram)
-        if best is None:
+        from repro.dataflows.grid import numpy_available
+
+        if numpy_available():
+            tile = self._best_tile_grid(layer)
+        else:
+            tile = self._best_tile_scalar(layer)
+        if tile is None:
             raise ValueError(f"no RS tile of layer {layer.name!r} fits the Eyeriss GBuf")
-        _, tile, dram = best
+        dram = self._traffic(layer, tile)
         return EyerissLayerResult(
             layer_name=layer.name,
             tile=tile,
             dram=dram,
             gbuf_accesses=self._gbuf_accesses(layer, tile, dram),
         )
+
+    def _best_tile_scalar(self, layer: ConvLayer):
+        """First least-traffic tile of :meth:`_tile_space`, or ``None``.
+
+        The no-numpy fallback and the oracle of :meth:`_best_tile_grid`.
+        """
+        best = None
+        for tile in self._tile_space(layer):
+            total = self._traffic(layer, tile).total
+            if best is None or total < best[0]:
+                best = (total, tile)
+        return None if best is None else best[1]
+
+    def _best_tile_grid(self, layer: ConvLayer):
+        """Array form of :meth:`_best_tile_scalar`, bit-identical to it.
+
+        The ``(n, m, c, e)`` grid is flattened in the nested-loop order of
+        :meth:`_tile_space`, whose two capacity filters become masks; the
+        totals are exact integers converted once and summed in
+        :attr:`TrafficBreakdown.total` order, and ``argmin`` returns the first
+        minimum, as the scalar loop's strict ``<`` does.
+        """
+        from repro.dataflows.grid import ceil_div as grid_ceil_div, meshgrid_ravel, require_numpy
+
+        np = require_numpy()
+        config = self.config
+        n, m, c, e = meshgrid_ravel(
+            candidate_extents(layer.batch),
+            candidate_extents(layer.out_channels, max_candidates=24),
+            candidate_extents(layer.in_channels, max_candidates=24),
+            candidate_extents(layer.out_height, max_candidates=24),
+        )
+        kernel_area = layer.kernel_height * layer.kernel_width
+        strip_rows = (e - 1) * layer.stride + layer.kernel_height
+        mask = m * c * kernel_area <= config.spad_weight_words_total
+        mask &= (
+            n * c * strip_rows * layer.in_width + n * m * e * layer.out_width
+            <= config.gbuf_data_words
+        )
+        if not mask.any():
+            return None
+        input_reads = (grid_ceil_div(layer.out_channels, m) * layer.num_inputs).astype(np.float64)
+        weight_reads = (
+            layer.num_weights * grid_ceil_div(layer.batch, n) * grid_ceil_div(layer.out_height, e)
+        ).astype(np.float64)
+        totals = ((input_reads + weight_reads) + 0.0) + float(layer.num_outputs)
+        best = int(np.argmin(np.where(mask, totals, np.inf)))
+        return {"n": int(n[best]), "m": int(m[best]), "c": int(c[best]), "e": int(e[best])}
 
     def run_network(self, layers: list) -> list:
         """Per-layer results for a whole network."""
